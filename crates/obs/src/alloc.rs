@@ -5,8 +5,13 @@
 //! per-thread totals, so a worker thread can bill one run's allocator
 //! traffic via an [`AllocScope`] without being charged for neighbours.
 //! Every binary that links `foxq_obs` gets the wrapper installed as
-//! `#[global_allocator]`; the accounting fast path is a handful of
-//! relaxed atomic adds, cheap enough to leave on unconditionally.
+//! `#[global_allocator]`. The accounting is not free: each allocation
+//! does several relaxed atomic adds, a CAS-max and thread-local updates.
+//! Measured on a 2-vCPU Xeon, that is about 45 ns per allocation/free
+//! pair: an XML tokenizer making 1.5 allocations per event drained 4 MiB
+//! of XMark at 70 ns/event with the system allocator and at 137 ns/event
+//! with this one. Making it cost nothing unless asked for is ROADMAP
+//! item 2.
 //!
 //! [`read_rss_bytes`] reads the resident-set size from
 //! `/proc/self/statm` (Linux; `None` elsewhere), for the

@@ -8,12 +8,35 @@
 //!
 //! Attributes are *expanded into leading element children* so that the
 //! downstream transducers see the paper's attribute-free encoding.
+//!
+//! **Scanning.** The reader works on the slices its `BufRead` hands out:
+//! a name, a run of character data or a skipped construct is found with
+//! one pass over the current `fill_buf()` window and released with one
+//! `consume(n)`; a token that straddles a refill continues in the next
+//! window. Character data is gathered, entities decoded in place, into one
+//! scratch buffer kept across nodes, and each text label costs a single
+//! `Arc<str>` allocation.
+//!
+//! **Interning.** Element and attribute names are scanned into a reused
+//! buffer and looked up by their bytes in a per-reader table, so a
+//! repeated name hands back a clone of an existing [`Label`] — a refcount
+//! bump, no allocation — and its UTF-8 is checked only the first time it
+//! is seen. Closing tags are matched by comparing bytes with the innermost
+//! open label. The table holds at most 1,024 names and 64 KiB of name
+//! bytes; past that cap a new name gets a fresh label each time it occurs,
+//! so a document with unboundedly many distinct names cannot grow the
+//! table without bound.
 
 use crate::error::XmlError;
 use crate::event::{EventSource, XmlEvent};
 use foxq_forest::Label;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::io::BufRead;
+
+/// Cap on the number of interned names per reader.
+const MAX_INTERNED_NAMES: usize = 1024;
+/// Cap on the total bytes of interned names per reader.
+const MAX_INTERNED_BYTES: usize = 64 * 1024;
 
 /// How to treat text nodes that consist only of whitespace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -31,11 +54,7 @@ pub enum WhitespaceMode {
 
 /// A pull parser over any `BufRead`, producing [`XmlEvent`]s.
 pub struct XmlReader<R> {
-    input: R,
-    /// Byte offset of the next unread byte (for error messages).
-    offset: u64,
-    /// One byte of pushback.
-    pushback: Option<u8>,
+    input: Input<R>,
     /// Events synthesized but not yet returned (attribute expansion,
     /// self-closing tags).
     queue: VecDeque<XmlEvent>,
@@ -48,8 +67,12 @@ pub struct XmlReader<R> {
     events_read: u64,
     /// Set once Eof has been returned.
     finished: bool,
-    /// Scratch buffer reused across text nodes.
+    /// Character data of the text node or attribute value being read,
+    /// reused across nodes.
     scratch: Vec<u8>,
+    /// Bytes of the name being read, reused across tags.
+    name: Vec<u8>,
+    names: NameTable,
 }
 
 impl<R: BufRead> XmlReader<R> {
@@ -59,15 +82,18 @@ impl<R: BufRead> XmlReader<R> {
 
     pub fn with_mode(input: R, ws: WhitespaceMode) -> Self {
         XmlReader {
-            input,
-            offset: 0,
-            pushback: None,
+            input: Input {
+                inner: input,
+                offset: 0,
+            },
             queue: VecDeque::new(),
             stack: Vec::new(),
             ws,
             events_read: 0,
             finished: false,
             scratch: Vec::new(),
+            name: Vec::new(),
+            names: NameTable::default(),
         }
     }
 
@@ -99,18 +125,16 @@ impl<R: BufRead> XmlReader<R> {
             return Ok(XmlEvent::Eof);
         }
         loop {
-            match self.read_byte()? {
+            match self.input.peek()? {
                 None => {
                     if !self.stack.is_empty() {
-                        return Err(XmlError::UnexpectedEof {
-                            offset: self.offset,
-                            open_elements: self.stack.len(),
-                        });
+                        return Err(self.eof_error());
                     }
                     self.finished = true;
                     return Ok(XmlEvent::Eof);
                 }
                 Some(b'<') => {
+                    self.input.consume(1);
                     if let Some(ev) = self.markup()? {
                         return Ok(ev);
                     }
@@ -119,8 +143,8 @@ impl<R: BufRead> XmlReader<R> {
                         return Ok(ev);
                     }
                 }
-                Some(c) => {
-                    if let Some(ev) = self.text(c)? {
+                Some(_) => {
+                    if let Some(ev) = self.text()? {
                         return Ok(ev);
                     }
                     // Whitespace-only text dropped: keep scanning.
@@ -131,43 +155,44 @@ impl<R: BufRead> XmlReader<R> {
 
     // ---- byte-level helpers -------------------------------------------
 
-    fn read_byte(&mut self) -> Result<Option<u8>, XmlError> {
-        if let Some(b) = self.pushback.take() {
-            self.offset += 1;
-            return Ok(Some(b));
+    fn eof_error(&self) -> XmlError {
+        XmlError::UnexpectedEof {
+            offset: self.input.offset,
+            open_elements: self.stack.len(),
         }
-        let offset = self.offset;
-        let buf = self
-            .input
-            .fill_buf()
-            .map_err(|e| XmlError::io_at(offset, e))?;
-        if buf.is_empty() {
-            return Ok(None);
-        }
-        let b = buf[0];
-        self.input.consume(1);
-        self.offset += 1;
-        Ok(Some(b))
     }
 
-    fn unread(&mut self, b: u8) {
-        debug_assert!(self.pushback.is_none());
-        self.pushback = Some(b);
-        self.offset -= 1;
+    fn peek_byte(&mut self) -> Result<u8, XmlError> {
+        match self.input.peek()? {
+            Some(b) => Ok(b),
+            None => Err(self.eof_error()),
+        }
     }
 
     fn expect_byte(&mut self) -> Result<u8, XmlError> {
-        self.read_byte()?.ok_or(XmlError::UnexpectedEof {
-            offset: self.offset,
-            open_elements: self.stack.len(),
-        })
+        let b = self.peek_byte()?;
+        self.input.consume(1);
+        Ok(b)
+    }
+
+    fn skip_ws(&mut self) -> Result<(), XmlError> {
+        while matches!(self.input.peek()?, Some(c) if c.is_ascii_whitespace()) {
+            self.input.consume(1);
+        }
+        Ok(())
     }
 
     fn syntax<T>(&self, msg: impl Into<String>) -> Result<T, XmlError> {
         Err(XmlError::Syntax {
-            offset: self.offset,
+            offset: self.input.offset,
             msg: msg.into(),
         })
+    }
+
+    fn utf8_error(&self) -> XmlError {
+        XmlError::Utf8 {
+            offset: self.input.offset,
+        }
     }
 
     // ---- markup --------------------------------------------------------
@@ -175,7 +200,12 @@ impl<R: BufRead> XmlReader<R> {
     /// Called after consuming `<`. Returns an event for tags, `None` for
     /// skipped constructs (with possible queued events).
     fn markup(&mut self) -> Result<Option<XmlEvent>, XmlError> {
-        match self.expect_byte()? {
+        let c = self.peek_byte()?;
+        if is_name_start(c) {
+            return self.open_tag().map(Some);
+        }
+        self.input.consume(1);
+        match c {
             b'/' => self.close_tag().map(Some),
             b'!' => {
                 self.bang()?;
@@ -185,86 +215,60 @@ impl<R: BufRead> XmlReader<R> {
                 self.skip_until(b"?>")?;
                 Ok(None)
             }
-            c if is_name_start(c) => self.open_tag(c).map(Some),
             c => self.syntax(format!("unexpected character {:?} after '<'", c as char)),
         }
     }
 
-    fn read_name(&mut self, first: u8) -> Result<String, XmlError> {
-        let mut name = Vec::with_capacity(16);
-        name.push(first);
-        loop {
-            match self.read_byte()? {
-                Some(c) if is_name_cont(c) => name.push(c),
-                Some(c) => {
-                    self.unread(c);
-                    break;
-                }
-                None => break,
-            }
-        }
-        String::from_utf8(name).map_err(|_| XmlError::Utf8 {
-            offset: self.offset,
-        })
+    /// Scan the name that starts at the next byte into `self.name`.
+    fn scan_name(&mut self) -> Result<(), XmlError> {
+        self.name.clear();
+        self.input.scan_into(&mut self.name, is_name_cont)?;
+        Ok(())
     }
 
-    fn skip_ws(&mut self) -> Result<(), XmlError> {
-        loop {
-            match self.read_byte()? {
-                Some(c) if c.is_ascii_whitespace() => continue,
-                Some(c) => {
-                    self.unread(c);
-                    return Ok(());
-                }
-                None => return Ok(()),
-            }
+    /// Scan a name and return its (interned) element label.
+    fn read_name(&mut self) -> Result<Label, XmlError> {
+        self.scan_name()?;
+        match self.names.label(&self.name) {
+            Some(label) => Ok(label),
+            None => Err(self.utf8_error()),
         }
     }
 
-    /// `<name attr="v"…>` or `<name …/>`; the `<` and first name byte are
-    /// already consumed.
-    fn open_tag(&mut self, first: u8) -> Result<XmlEvent, XmlError> {
-        let name = self.read_name(first)?;
-        let label = Label::elem(name);
-        let mut self_closing = false;
+    /// `<name attr="v"…>` or `<name …/>`; the `<` is already consumed and
+    /// the next byte starts the name.
+    fn open_tag(&mut self) -> Result<XmlEvent, XmlError> {
+        let label = self.read_name()?;
         loop {
             self.skip_ws()?;
-            match self.expect_byte()? {
-                b'>' => break,
+            match self.peek_byte()? {
+                b'>' => {
+                    self.input.consume(1);
+                    self.stack.push(label.clone());
+                    break;
+                }
                 b'/' => {
+                    self.input.consume(1);
                     if self.expect_byte()? != b'>' {
                         return self.syntax("expected '>' after '/'");
                     }
-                    self_closing = true;
+                    self.queue.push_back(XmlEvent::Close(label.clone()));
                     break;
                 }
-                c if is_name_start(c) => {
-                    let (aname, avalue) = self.attribute(c)?;
-                    // <e a="v"> ⇒ child a("v")
-                    let alabel = Label::elem(aname);
-                    self.queue.push_back(XmlEvent::Open(alabel.clone()));
-                    if !avalue.is_empty() {
-                        let tlabel = Label::text(avalue);
-                        self.queue.push_back(XmlEvent::Open(tlabel.clone()));
-                        self.queue.push_back(XmlEvent::Close(tlabel));
-                    }
-                    self.queue.push_back(XmlEvent::Close(alabel));
-                }
+                c if is_name_start(c) => self.attribute()?,
                 c => {
+                    self.input.consume(1);
                     return self.syntax(format!("unexpected {:?} in start tag", c as char));
                 }
             }
         }
-        if self_closing {
-            self.queue.push_back(XmlEvent::Close(label.clone()));
-        } else {
-            self.stack.push(label.clone());
-        }
         Ok(XmlEvent::Open(label))
     }
 
-    fn attribute(&mut self, first: u8) -> Result<(String, String), XmlError> {
-        let name = self.read_name(first)?;
+    /// `name="value"` inside a start tag, queued as the child
+    /// `name("value")` (no text child when the value is empty).
+    fn attribute(&mut self) -> Result<(), XmlError> {
+        let label = self.read_name()?;
         self.skip_ws()?;
         if self.expect_byte()? != b'=' {
             return self.syntax("expected '=' in attribute");
@@ -274,46 +278,45 @@ impl<R: BufRead> XmlReader<R> {
         if quote != b'"' && quote != b'\'' {
             return self.syntax("expected quoted attribute value");
         }
-        let mut raw = Vec::with_capacity(16);
-        loop {
-            let c = self.expect_byte()?;
-            if c == quote {
-                break;
-            }
-            if c == b'&' {
-                self.entity(&mut raw)?;
-            } else {
-                raw.push(c);
-            }
+        if !self.char_data(quote)? {
+            return Err(self.eof_error());
         }
-        let value = String::from_utf8(raw).map_err(|_| XmlError::Utf8 {
-            offset: self.offset,
-        })?;
-        Ok((name, value))
+        self.input.consume(1);
+        let value = std::str::from_utf8(&self.scratch).map_err(|_| self.utf8_error())?;
+        self.queue.push_back(XmlEvent::Open(label.clone()));
+        if !value.is_empty() {
+            let text = Label::text(value);
+            self.queue.push_back(XmlEvent::Open(text.clone()));
+            self.queue.push_back(XmlEvent::Close(text));
+        }
+        self.queue.push_back(XmlEvent::Close(label));
+        Ok(())
     }
 
     /// `</name>`; `</` already consumed.
     fn close_tag(&mut self) -> Result<XmlEvent, XmlError> {
-        let first = self.expect_byte()?;
+        let first = self.peek_byte()?;
         if !is_name_start(first) {
+            self.input.consume(1);
             return self.syntax("expected element name in closing tag");
         }
-        let name = self.read_name(first)?;
+        self.scan_name()?;
+        // A name equal to an open label's is valid UTF-8; anything else is
+        // checked here, so the error sits right after the name.
+        let matched = matches!(self.stack.last(), Some(open) if open.name.as_bytes() == self.name);
+        if !matched && std::str::from_utf8(&self.name).is_err() {
+            return Err(self.utf8_error());
+        }
         self.skip_ws()?;
         if self.expect_byte()? != b'>' {
             return self.syntax("expected '>' in closing tag");
         }
         match self.stack.pop() {
-            Some(label) if *label.name == name => Ok(XmlEvent::Close(label)),
-            Some(label) => Err(XmlError::MismatchedClose {
-                offset: self.offset,
-                expected: label.name.to_string(),
-                found: name,
-            }),
-            None => Err(XmlError::MismatchedClose {
-                offset: self.offset,
-                expected: "(document end)".into(),
-                found: name,
+            Some(label) if matched => Ok(XmlEvent::Close(label)),
+            open => Err(XmlError::MismatchedClose {
+                offset: self.input.offset,
+                expected: open.map_or_else(|| "(document end)".into(), |l| l.name.to_string()),
+                found: String::from_utf8_lossy(&self.name).into_owned(),
             }),
         }
     }
@@ -327,104 +330,153 @@ impl<R: BufRead> XmlReader<R> {
                 }
                 self.skip_until(b"-->")
             }
-            b'[' => {
-                // <![CDATA[ … ]]> — produce a text node (no entity decoding).
-                for &expected in b"CDATA[" {
-                    if self.expect_byte()? != expected {
-                        return self.syntax("malformed CDATA section");
-                    }
-                }
-                let mut raw = Vec::new();
-                let mut tail = [0u8; 2];
-                loop {
-                    let c = self.expect_byte()?;
-                    if c == b'>' && tail == *b"]]" {
-                        raw.truncate(raw.len().saturating_sub(2));
-                        break;
-                    }
-                    raw.push(c);
-                    tail[0] = tail[1];
-                    tail[1] = c;
-                }
-                let content = String::from_utf8(raw).map_err(|_| XmlError::Utf8 {
-                    offset: self.offset,
-                })?;
-                if !content.is_empty() {
-                    let label = Label::text(content);
-                    self.queue.push_back(XmlEvent::Open(label.clone()));
-                    self.queue.push_back(XmlEvent::Close(label));
-                }
-                Ok(())
-            }
+            b'[' => self.cdata(),
             b'D' => self.skip_doctype(),
             _ => self.syntax("unsupported '<!' construct"),
         }
     }
 
-    /// Skip a DOCTYPE declaration, tolerating an internal subset.
-    fn skip_doctype(&mut self) -> Result<(), XmlError> {
-        let mut depth = 1usize; // the '<' of <!DOCTYPE
+    /// `<![CDATA[ … ]]>` after its `<![` — queues a text node (no entity
+    /// decoding, no whitespace mode).
+    fn cdata(&mut self) -> Result<(), XmlError> {
+        for &expected in b"CDATA[" {
+            if self.expect_byte()? != expected {
+                return self.syntax("malformed CDATA section");
+            }
+        }
+        self.scratch.clear();
         loop {
-            match self.expect_byte()? {
-                b'<' => depth += 1,
-                b'>' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return Ok(());
+            if self
+                .input
+                .scan_into(&mut self.scratch, |c| c != b'>')?
+                .is_none()
+            {
+                return Err(self.eof_error());
+            }
+            self.input.consume(1);
+            if self.scratch.ends_with(b"]]") {
+                self.scratch.truncate(self.scratch.len() - 2);
+                break;
+            }
+            self.scratch.push(b'>');
+        }
+        let content = std::str::from_utf8(&self.scratch).map_err(|_| self.utf8_error())?;
+        if !content.is_empty() {
+            let label = Label::text(content);
+            self.queue.push_back(XmlEvent::Open(label.clone()));
+            self.queue.push_back(XmlEvent::Close(label));
+        }
+        Ok(())
+    }
+
+    /// Skip a DOCTYPE declaration, tolerating an internal subset. Angle
+    /// brackets are counted only outside quoted literals, comments and
+    /// processing instructions, which may contain them freely.
+    fn skip_doctype(&mut self) -> Result<(), XmlError> {
+        enum State {
+            Markup,
+            Quoted(u8),
+            Skipped(&'static [u8], usize),
+        }
+        let mut state = State::Markup;
+        let mut depth = 1usize; // the '<' of <!DOCTYPE
+        let mut opener = 0usize; // bytes of "<!--" (or "<?") just seen
+        let found = self.input.skip_through(|c| {
+            match state {
+                State::Quoted(q) => {
+                    if c == q {
+                        state = State::Markup;
                     }
                 }
-                _ => {}
+                State::Skipped(terminator, matched) => {
+                    let matched = advance_match(terminator, matched, c);
+                    state = if matched == terminator.len() {
+                        State::Markup
+                    } else {
+                        State::Skipped(terminator, matched)
+                    };
+                }
+                State::Markup => {
+                    let skipped = match (opener, c) {
+                        (1, b'!') | (2, b'-') => {
+                            opener += 1;
+                            return false;
+                        }
+                        (1, b'?') => Some(&b"?>"[..]),
+                        (3, b'-') => Some(&b"-->"[..]),
+                        _ => None,
+                    };
+                    opener = 0;
+                    if let Some(terminator) = skipped {
+                        // The '<' opened a comment or PI, not a declaration.
+                        depth -= 1;
+                        state = State::Skipped(terminator, 0);
+                        return false;
+                    }
+                    match c {
+                        b'"' | b'\'' => state = State::Quoted(c),
+                        b'<' => {
+                            depth += 1;
+                            opener = 1;
+                        }
+                        b'>' => {
+                            depth -= 1;
+                            return depth == 0;
+                        }
+                        _ => {}
+                    }
+                }
             }
+            false
+        })?;
+        if found {
+            Ok(())
+        } else {
+            Err(self.eof_error())
         }
     }
 
-    fn skip_until(&mut self, terminator: &[u8]) -> Result<(), XmlError> {
+    /// Skip through the first occurrence of `terminator`.
+    fn skip_until(&mut self, terminator: &'static [u8]) -> Result<(), XmlError> {
         let mut matched = 0usize;
-        loop {
-            let c = self.expect_byte()?;
-            if c == terminator[matched] {
-                matched += 1;
-                if matched == terminator.len() {
-                    return Ok(());
-                }
-            } else {
-                matched = if c == terminator[0] { 1 } else { 0 };
-            }
+        let found = self.input.skip_through(|c| {
+            matched = advance_match(terminator, matched, c);
+            matched == terminator.len()
+        })?;
+        if found {
+            Ok(())
+        } else {
+            Err(self.eof_error())
         }
     }
 
     // ---- text ----------------------------------------------------------
 
-    /// Accumulate character data starting with `first` until the next `<`.
-    /// Returns `None` if the node is dropped by the whitespace mode.
-    fn text(&mut self, first: u8) -> Result<Option<XmlEvent>, XmlError> {
+    /// Gather character data into `scratch`, decoding entities, up to the
+    /// next `stop` byte (left unread) or the end of input. Returns whether
+    /// `stop` was reached.
+    fn char_data(&mut self, stop: u8) -> Result<bool, XmlError> {
         self.scratch.clear();
-        if first == b'&' {
-            let mut tmp = Vec::new();
-            self.entity(&mut tmp)?;
-            self.scratch.extend_from_slice(&tmp);
-        } else {
-            self.scratch.push(first);
-        }
         loop {
-            match self.read_byte()? {
-                None => break,
-                Some(b'<') => {
-                    self.unread(b'<');
-                    break;
-                }
+            match self
+                .input
+                .scan_into(&mut self.scratch, |c| c != stop && c != b'&')?
+            {
+                None => return Ok(false),
                 Some(b'&') => {
-                    let mut tmp = Vec::new();
-                    self.entity(&mut tmp)?;
-                    self.scratch.extend_from_slice(&tmp);
+                    self.input.consume(1);
+                    self.entity()?;
                 }
-                Some(c) => self.scratch.push(c),
+                Some(_) => return Ok(true),
             }
         }
-        let raw = std::mem::take(&mut self.scratch);
-        let content = String::from_utf8(raw).map_err(|_| XmlError::Utf8 {
-            offset: self.offset,
-        })?;
+    }
+
+    /// A text node running to the next `<`. Returns `None` if the node is
+    /// dropped by the whitespace mode.
+    fn text(&mut self) -> Result<Option<XmlEvent>, XmlError> {
+        self.char_data(b'<')?;
+        let content = std::str::from_utf8(&self.scratch).map_err(|_| self.utf8_error())?;
         let content = match self.ws {
             WhitespaceMode::Preserve => content,
             WhitespaceMode::SkipWhitespaceOnly => {
@@ -438,7 +490,7 @@ impl<R: BufRead> XmlReader<R> {
                 if trimmed.is_empty() {
                     return Ok(None);
                 }
-                trimmed.to_string()
+                trimmed
             }
         };
         let label = Label::text(content);
@@ -446,29 +498,29 @@ impl<R: BufRead> XmlReader<R> {
         Ok(Some(XmlEvent::Open(label)))
     }
 
-    /// Decode an entity after its `&`.
-    fn entity(&mut self, out: &mut Vec<u8>) -> Result<(), XmlError> {
-        let mut name = Vec::with_capacity(8);
+    /// Decode an entity after its `&`, appending it to `scratch`.
+    fn entity(&mut self) -> Result<(), XmlError> {
+        let mut name = [0u8; 17];
+        let mut len = 0usize;
         loop {
             let c = self.expect_byte()?;
             if c == b';' {
                 break;
             }
-            if name.len() > 16 {
+            if len > 16 {
                 return self.syntax("entity reference too long");
             }
-            name.push(c);
+            name[len] = c;
+            len += 1;
         }
-        match name.as_slice() {
-            b"lt" => out.push(b'<'),
-            b"gt" => out.push(b'>'),
-            b"amp" => out.push(b'&'),
-            b"apos" => out.push(b'\''),
-            b"quot" => out.push(b'"'),
-            n if n.first() == Some(&b'#') => {
-                let s = std::str::from_utf8(&n[1..]).map_err(|_| XmlError::Utf8 {
-                    offset: self.offset,
-                })?;
+        match &name[..len] {
+            b"lt" => self.scratch.push(b'<'),
+            b"gt" => self.scratch.push(b'>'),
+            b"amp" => self.scratch.push(b'&'),
+            b"apos" => self.scratch.push(b'\''),
+            b"quot" => self.scratch.push(b'"'),
+            [b'#', digits @ ..] => {
+                let s = std::str::from_utf8(digits).map_err(|_| self.utf8_error())?;
                 let code = if let Some(hex) = s.strip_prefix('x').or_else(|| s.strip_prefix('X')) {
                     u32::from_str_radix(hex, 16)
                 } else {
@@ -481,7 +533,8 @@ impl<R: BufRead> XmlReader<R> {
                 match char::from_u32(code) {
                     Some(ch) => {
                         let mut buf = [0u8; 4];
-                        out.extend_from_slice(ch.encode_utf8(&mut buf).as_bytes());
+                        self.scratch
+                            .extend_from_slice(ch.encode_utf8(&mut buf).as_bytes());
                     }
                     None => return self.syntax("invalid character code"),
                 }
@@ -502,6 +555,106 @@ impl<R: BufRead> EventSource for XmlReader<R> {
     }
 }
 
+/// The byte source: a `BufRead` and the offset of its next unread byte.
+struct Input<R> {
+    inner: R,
+    offset: u64,
+}
+
+impl<R: BufRead> Input<R> {
+    /// The buffered bytes not yet consumed; empty at end of input.
+    fn window(&mut self) -> Result<&[u8], XmlError> {
+        let offset = self.offset;
+        self.inner
+            .fill_buf()
+            .map_err(|e| XmlError::io_at(offset, e))
+    }
+
+    fn consume(&mut self, n: usize) {
+        self.inner.consume(n);
+        self.offset += n as u64;
+    }
+
+    fn peek(&mut self) -> Result<Option<u8>, XmlError> {
+        Ok(self.window()?.first().copied())
+    }
+
+    /// Append the run of bytes satisfying `keep` to `out`. Returns the
+    /// first byte that does not (left unread), or `None` at end of input.
+    fn scan_into(
+        &mut self,
+        out: &mut Vec<u8>,
+        keep: impl Fn(u8) -> bool,
+    ) -> Result<Option<u8>, XmlError> {
+        loop {
+            let buf = self.window()?;
+            if buf.is_empty() {
+                return Ok(None);
+            }
+            let n = buf.iter().position(|&c| !keep(c)).unwrap_or(buf.len());
+            let stop = buf.get(n).copied();
+            out.extend_from_slice(&buf[..n]);
+            self.consume(n);
+            if stop.is_some() {
+                return Ok(stop);
+            }
+        }
+    }
+
+    /// Consume bytes through the first one for which `done` returns true.
+    /// Returns false if the input ends first.
+    fn skip_through(&mut self, mut done: impl FnMut(u8) -> bool) -> Result<bool, XmlError> {
+        loop {
+            let buf = self.window()?;
+            if buf.is_empty() {
+                return Ok(false);
+            }
+            let (n, found) = match buf.iter().position(|&c| done(c)) {
+                Some(i) => (i + 1, true),
+                None => (buf.len(), false),
+            };
+            self.consume(n);
+            if found {
+                return Ok(true);
+            }
+        }
+    }
+}
+
+/// Element labels interned by name bytes, within the module-level cap.
+#[derive(Default)]
+struct NameTable {
+    labels: HashMap<Box<[u8]>, Label>,
+    bytes: usize,
+}
+
+impl NameTable {
+    /// The element label named `name`, or `None` if `name` is not UTF-8.
+    fn label(&mut self, name: &[u8]) -> Option<Label> {
+        if let Some(label) = self.labels.get(name) {
+            return Some(label.clone());
+        }
+        let label = Label::elem(std::str::from_utf8(name).ok()?);
+        if self.labels.len() < MAX_INTERNED_NAMES && self.bytes + name.len() <= MAX_INTERNED_BYTES {
+            self.bytes += name.len();
+            self.labels.insert(name.into(), label.clone());
+        }
+        Some(label)
+    }
+}
+
+/// One step of the naive terminator matcher used to skip comments, PIs and
+/// DOCTYPE internals: `matched` bytes of `terminator` were seen, then `c`.
+fn advance_match(terminator: &[u8], matched: usize, c: u8) -> usize {
+    if c == terminator[matched] {
+        matched + 1
+    } else if c == terminator[0] {
+        1
+    } else {
+        0
+    }
+}
+
 fn is_name_start(c: u8) -> bool {
     c.is_ascii_alphabetic() || c == b'_' || c >= 0x80
 }
@@ -513,6 +666,8 @@ fn is_name_cont(c: u8) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::BufReader;
+    use std::sync::Arc;
 
     fn events(xml: &str) -> Vec<XmlEvent> {
         events_mode(xml, WhitespaceMode::default())
@@ -707,5 +862,200 @@ mod tests {
                 XmlEvent::Eof
             ]
         );
+    }
+
+    /// Every event through `Eof`, or through the first error, rendered
+    /// with `{:?}` so that the variant and the offset are compared.
+    fn drain<R: BufRead>(mut r: XmlReader<R>) -> (Vec<XmlEvent>, Option<String>) {
+        let mut out = Vec::new();
+        loop {
+            match r.next_event() {
+                Ok(XmlEvent::Eof) => return (out, None),
+                Ok(ev) => out.push(ev),
+                Err(e) => return (out, Some(format!("{e:?}"))),
+            }
+        }
+    }
+
+    #[test]
+    fn doctype_entity_value_holding_gt_is_skipped() {
+        assert_eq!(
+            events(r#"<!DOCTYPE a [<!ENTITY x ">">]><a><b>1</b></a>"#),
+            vec![
+                open("a"),
+                open("b"),
+                topen("1"),
+                tclose("1"),
+                close("b"),
+                close("a"),
+                XmlEvent::Eof
+            ]
+        );
+    }
+
+    #[test]
+    fn doctype_system_literal_holding_gt_is_skipped() {
+        assert_eq!(
+            events(r#"<!DOCTYPE a SYSTEM "x>y"><a/>"#),
+            vec![open("a"), close("a"), XmlEvent::Eof]
+        );
+    }
+
+    #[test]
+    fn doctype_entity_value_holding_lt_is_skipped() {
+        assert_eq!(
+            events(r#"<!DOCTYPE a [<!ENTITY x "<">]><a/>"#),
+            vec![open("a"), close("a"), XmlEvent::Eof]
+        );
+    }
+
+    #[test]
+    fn doctype_comments_and_pis_hide_brackets_and_quotes() {
+        let xml = "<!DOCTYPE a [<!-- <x> ' --><?p > \" ?><!ENTITY y 'z>'>]><a/>";
+        assert_eq!(events(xml), vec![open("a"), close("a"), XmlEvent::Eof]);
+    }
+
+    #[test]
+    fn repeated_names_share_one_label() {
+        let mut r = XmlReader::new(r#"<a x="1"><a x="2"/></a>"#.as_bytes());
+        let mut opened = Vec::new();
+        while let XmlEvent::Open(l) | XmlEvent::Close(l) = r.next_event().unwrap() {
+            if &*l.name == "a" {
+                opened.push(l.name);
+            }
+        }
+        assert_eq!(opened.len(), 4);
+        assert!(opened.iter().all(|n| Arc::ptr_eq(n, &opened[0])));
+        assert_eq!(r.names.labels.len(), 2);
+    }
+
+    #[test]
+    fn intern_table_stops_at_its_name_cap() {
+        const N: usize = 100_000;
+        let mut xml = String::from("<r>");
+        for i in 0..N {
+            xml.push_str(&format!("<n{i}/>"));
+        }
+        xml.push_str("</r>");
+        let mut r = XmlReader::new(xml.as_bytes());
+        assert_eq!(r.next_event().unwrap(), open("r"));
+        for i in 0..N {
+            let name = format!("n{i}");
+            assert_eq!(r.next_event().unwrap(), open(&name));
+            assert_eq!(r.next_event().unwrap(), close(&name));
+        }
+        assert_eq!(r.next_event().unwrap(), close("r"));
+        assert_eq!(r.next_event().unwrap(), XmlEvent::Eof);
+        assert_eq!(r.names.labels.len(), MAX_INTERNED_NAMES);
+        assert!(r.names.bytes <= MAX_INTERNED_BYTES);
+    }
+
+    #[test]
+    fn intern_table_stops_at_its_byte_cap() {
+        // 200 distinct names of 1,001 bytes each.
+        let names: Vec<String> = (0..200).map(|i| format!("n{i:x<1000}")).collect();
+        let xml: String = names.iter().map(|n| format!("<{n}></{n}>")).collect();
+        let mut r = XmlReader::new(xml.as_bytes());
+        for n in &names {
+            assert_eq!(r.next_event().unwrap(), open(n));
+            assert_eq!(r.next_event().unwrap(), close(n));
+        }
+        assert_eq!(r.next_event().unwrap(), XmlEvent::Eof);
+        assert_eq!(r.names.labels.len(), MAX_INTERNED_BYTES / 1001);
+        assert!(r.names.bytes <= MAX_INTERNED_BYTES);
+    }
+
+    /// The documents of the tests above, plus malformed ones that exercise
+    /// every error path.
+    const DOCS: &[&[u8]] = &[
+        b"<a><b/></a>",
+        b"<a> hi </a>",
+        b"<a>  \n </a>",
+        b"<a> </a>",
+        br#"<a x="1" y=''/>"#,
+        b"<a>&lt;x&gt; &amp; &#65;&#x42;</a>",
+        b"<?xml version=\"1.0\"?><!DOCTYPE site SYSTEM \"x.dtd\" [<!ENTITY e \"v\">]>\n<a><!-- note --><b/></a>",
+        b"<a><![CDATA[<raw> & stuff]]></a>",
+        b"<a><![CDATA[x]]]>y<![CDATA[]]><![CDATA[>]>]]></a>",
+        b"<a></b>",
+        b"<a><b>",
+        b"<a/>",
+        b"<a><b/>hi</a>",
+        b"<a/><b/>",
+        br#"<a t="&quot;x&apos;"/>"#,
+        br#"<!DOCTYPE a [<!ENTITY x ">">]><a><b>1</b></a>"#,
+        br#"<!DOCTYPE a SYSTEM "x>y"><a/>"#,
+        br#"<!DOCTYPE a [<!ENTITY x "<">]><a/>"#,
+        b"<!DOCTYPE a [<!-- <x> ' --><?p > \" ?><!ENTITY y 'z>'>]><a/>",
+        b"<abcdefgh><ijklmnop></ijklmnop></abcdefgx>",
+        b"<long-name.one:two x = '1'  yy=\"2\" ></long-name.one:two  >",
+        b"</a>",
+        b"<a>&bogus;</a>",
+        b"<a>&#xZZ;</a>",
+        b"<a>&#xD800;</a>",
+        b"<a>&aaaaaaaaaaaaaaaaaaaaaa;</a>",
+        b"<a>&amp",
+        b"<a b=1/>",
+        b"<a b></a>",
+        b"<a b='x",
+        b"<a/ >",
+        b"<a !>",
+        b"<a",
+        b"<1>",
+        b"</1>",
+        b"<a></a x>",
+        b"<!-- x",
+        b"<!-x -->",
+        b"<![CDATA[x",
+        b"<![CDAT[x]]>",
+        b"<!DOCTYPE a [",
+        b"<!X>",
+        b"<?pi",
+        b"<a>x",
+        b"<a>\xff</a>",
+        b"<\xffa/>",
+        b"<a x='\xff'/>",
+        b"<a></\xff>",
+        b"<a><![CDATA[\xff]]></a>",
+        b"<a>&#\xff;</a>",
+        b"\n<a>\n<b> c </b>\n</a>\n",
+    ];
+
+    #[test]
+    fn buffer_boundaries_change_no_event_and_no_error() {
+        let modes = [
+            WhitespaceMode::SkipWhitespaceOnly,
+            WhitespaceMode::Preserve,
+            WhitespaceMode::Trim,
+        ];
+        for doc in DOCS {
+            for ws in modes {
+                let whole = drain(XmlReader::with_mode(*doc, ws));
+                for cap in [1, 2, 3, 7, 4096] {
+                    let chunked = XmlReader::with_mode(BufReader::with_capacity(cap, *doc), ws);
+                    assert_eq!(
+                        drain(chunked),
+                        whole,
+                        "capacity {cap}, {ws:?}: {}",
+                        String::from_utf8_lossy(doc)
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mismatched_close_reports_both_names_and_offset() {
+        let doc = b"<abcdefgh><ijklmnop></ijklmnop></abcdefgx>";
+        for cap in [1, 2, 3, 7, 4096] {
+            let (_, err) = drain(XmlReader::new(BufReader::with_capacity(cap, &doc[..])));
+            let err = err.unwrap();
+            assert!(err.contains("MismatchedClose"), "{err}");
+            assert!(err.contains("offset: 42"), "{err}");
+            assert!(
+                err.contains("\"abcdefgh\"") && err.contains("\"abcdefgx\""),
+                "{err}"
+            );
+        }
     }
 }
