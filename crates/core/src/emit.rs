@@ -8,15 +8,20 @@
 //! irrevocable prefix downstream incrementally — every caller buffered the
 //! whole serialized output and shipped it after end-of-input.
 //!
-//! This module closes the gap with two pieces:
+//! This module closes the gap with three pieces:
 //!
 //! * [`EmitSink`] — an [`XmlSink`] with an `emit` boundary. The emission
 //!   drivers ([`run_streaming_emit`](crate::stream::run_streaming_emit) and
 //!   the per-lane variants in `foxq_service`) call `emit` after each
 //!   delivered input event; everything pushed since the previous boundary
 //!   is irrevocable (per the paper's earliest-emission argument: no pending
-//!   state call remains to its left) and can be handed to a socket, stdout,
-//!   or a chunked HTTP response without ever being revoked.
+//!   state call remains to its left). A boundary is a *release point*: the
+//!   bytes may leave, and will never be revoked.
+//! * [`Outbox`] — decides *when* released bytes reach a socket or stdout:
+//!   at once for the first prefix, then whenever the input side is about to
+//!   read, 64 KiB are pending, or the run ends. No determined byte waits
+//!   while the process waits for input, yet an output-heavy run makes one
+//!   write per input buffer instead of one per boundary.
 //! * [`EmissionAnalysis`] — a static analysis over the compiled MFT that
 //!   answers, per state, *can this state ever have ground output to the
 //!   left of a pending call?* A transducer none of whose reachable states
@@ -26,12 +31,14 @@
 //! [`EmitWriter`] is the serializer both the server and the CLI use: it
 //! renders output events through the shared [`XmlWriter`] (so streamed
 //! bytes are identical to materialized ones) into an internal buffer that
-//! each `emit` boundary drains through a caller-supplied delivery closure.
+//! each `emit` boundary drains through a caller-supplied delivery closure —
+//! on both surfaces, [`Outbox::push`].
 
 use crate::mft::{Mft, Rhs, RhsNode, StateId};
 use foxq_forest::{Label, NodeKind};
 use foxq_xml::{XmlSink, XmlWriter};
-use std::io;
+use std::cell::{RefCell, RefMut};
+use std::io::{self, Read, Write};
 
 // ---------------------------------------------------------------------------
 // EmitSink
@@ -40,11 +47,13 @@ use std::io;
 /// An [`XmlSink`] with an emission boundary.
 ///
 /// The engine's emission drivers call [`EmitSink::emit`] after each fully
-/// processed input event (and once more after end-of-input). Everything
-/// pushed via `open`/`close` since the previous boundary is *irrevocable* —
-/// no pending state call remains to its left — so the sink may release it
-/// downstream immediately. `emit` with nothing new accumulated must be a
-/// cheap no-op: most input events grow no output on buffering queries.
+/// processed input event (and once more after end-of-input). Each call
+/// marks a *release point*: everything pushed via `open`/`close` since the
+/// previous one is *irrevocable* — no pending state call remains to its
+/// left — so the sink may release it downstream. It need not write it at
+/// once: the surfaces hand it to an [`Outbox`], whose rules (a)–(d) decide
+/// when bytes reach the wire. `emit` with nothing new accumulated must be
+/// a cheap no-op: most input events grow no output on buffering queries.
 ///
 /// Unlike the per-event `open`/`close` hot path (infallible, errors
 /// deferred), `emit` is fallible: a delivery failure (client hung up,
@@ -150,6 +159,140 @@ impl<F: FnMut(&[u8]) -> io::Result<()>> EmitSink for EmitWriter<F> {
             self.chunks += 1;
         }
         r
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Outbox
+// ---------------------------------------------------------------------------
+
+/// Pending bytes at which an [`Outbox`] writes through on its own.
+const OUTBOX_HIGH_WATER: usize = 64 * 1024;
+
+/// Coalesces released output prefixes into few writes, without letting any
+/// of them wait while the process waits for input.
+///
+/// [`Outbox::push`] takes each prefix an [`EmitSink`] releases. Bytes
+/// reach `out` — one `write_all` of everything pending, then `flush` — in
+/// four cases:
+///
+/// * **(a)** the first non-empty prefix, at once, so the time to the first
+///   output byte does not move;
+/// * **(b)** the input side is about to read: the adapter from
+///   [`Outbox::flush_before_read`] around the input's stdin, file or
+///   socket writes everything pending first, like C stdio's rule that
+///   reading stdin flushes stdout;
+/// * **(c)** 64 KiB are pending, so the outbox holds at most that plus one
+///   prefix;
+/// * **(d)** the run ends: the caller calls [`Outbox::flush`], also just
+///   before a mid-stream failure truncates the output.
+///
+/// The engine emits after every input event, often a dozen bytes at a
+/// time; between two reads of a buffered input these rules make one write
+/// of all of them. Earliest emission is about when an answer is
+/// *determined*, and (b) keeps that promise: a determined byte is never
+/// held while the process blocks on input.
+///
+/// Methods take `&self`: during one run the [`EmitWriter`]'s delivery
+/// closure and the input's read adapter both hold the outbox. A write
+/// error drops the pending bytes (the run is aborted anyway). It is an
+/// output failure, so the read adapter does not fail the read: the error
+/// waits for the next [`Outbox::push`] or [`Outbox::flush`].
+pub struct Outbox<W: Write> {
+    state: RefCell<OutboxState<W>>,
+}
+
+struct OutboxState<W> {
+    out: W,
+    pending: Vec<u8>,
+    /// Whether the first non-empty prefix went out (rule (a)).
+    started: bool,
+    /// A write error met by the read adapter, for the next push or flush.
+    error: Option<io::Error>,
+}
+
+impl<W: Write> OutboxState<W> {
+    fn write_through(&mut self) -> io::Result<()> {
+        let r = self
+            .out
+            .write_all(&self.pending)
+            .and_then(|()| self.out.flush());
+        self.pending.clear();
+        r
+    }
+}
+
+impl<W: Write> Outbox<W> {
+    pub fn new(out: W) -> Self {
+        Outbox {
+            state: RefCell::new(OutboxState {
+                out,
+                pending: Vec::new(),
+                started: false,
+                error: None,
+            }),
+        }
+    }
+
+    /// Take one released prefix; write through under rules (a) and (c).
+    pub fn push(&self, prefix: &[u8]) -> io::Result<()> {
+        if prefix.is_empty() {
+            return Ok(());
+        }
+        let mut s = self.state.borrow_mut();
+        if let Some(e) = s.error.take() {
+            return Err(e);
+        }
+        s.pending.extend_from_slice(prefix);
+        let first = !s.started;
+        s.started = true;
+        if first || s.pending.len() >= OUTBOX_HIGH_WATER {
+            return s.write_through();
+        }
+        Ok(())
+    }
+
+    /// Write everything pending through to `out` (rules (b) and (d)). A
+    /// no-op, without a call to `out`, when nothing is pending.
+    pub fn flush(&self) -> io::Result<()> {
+        let mut s = self.state.borrow_mut();
+        if let Some(e) = s.error.take() {
+            return Err(e);
+        }
+        if s.pending.is_empty() {
+            return Ok(());
+        }
+        s.write_through()
+    }
+
+    /// Wrap the input so that every read flushes the outbox first (rule
+    /// (b)). Put it *under* the input's buffer, where a read may block.
+    pub fn flush_before_read<R: Read>(&self, input: R) -> FlushBeforeRead<'_, W, R> {
+        FlushBeforeRead {
+            outbox: self,
+            input,
+        }
+    }
+
+    /// The destination, e.g. to inspect its state between writes. Must not
+    /// be held across [`Outbox::push`] or [`Outbox::flush`].
+    pub fn writer(&self) -> RefMut<'_, W> {
+        RefMut::map(self.state.borrow_mut(), |s| &mut s.out)
+    }
+}
+
+/// The input adapter of [`Outbox::flush_before_read`].
+pub struct FlushBeforeRead<'a, W: Write, R> {
+    outbox: &'a Outbox<W>,
+    input: R,
+}
+
+impl<W: Write, R: Read> Read for FlushBeforeRead<'_, W, R> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if let Err(e) = self.outbox.flush() {
+            self.outbox.state.borrow_mut().error = Some(e);
+        }
+        self.input.read(buf)
     }
 }
 
@@ -381,5 +524,122 @@ mod tests {
             Ok(_) => panic!("expected the run to abort on emit failure"),
         };
         assert!(matches!(err, crate::stream::StreamError::Emit(_)), "{err}");
+    }
+
+    /// A destination that records each flushed batch of writes.
+    #[derive(Default)]
+    struct Batches {
+        done: Vec<Vec<u8>>,
+        open: Vec<u8>,
+    }
+
+    impl Write for Batches {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.open.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            if !self.open.is_empty() {
+                self.done.push(std::mem::take(&mut self.open));
+            }
+            Ok(())
+        }
+    }
+
+    fn batches(outbox: &Outbox<Batches>) -> Vec<String> {
+        let w = outbox.writer();
+        assert!(w.open.is_empty(), "a write was not flushed");
+        w.done
+            .iter()
+            .map(|b| String::from_utf8(b.clone()).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn outbox_writes_the_first_prefix_at_once_then_coalesces() {
+        let outbox = Outbox::new(Batches::default());
+        outbox.push(b"").unwrap();
+        assert!(batches(&outbox).is_empty(), "an empty prefix is not first");
+        outbox.push(b"<o>").unwrap();
+        assert_eq!(batches(&outbox), ["<o>"]);
+        outbox.push(b"<a>1</a>").unwrap();
+        outbox.push(b"<a>2</a>").unwrap();
+        assert_eq!(batches(&outbox), ["<o>"]);
+        outbox.flush().unwrap();
+        outbox.flush().unwrap();
+        outbox.push(b"</o>").unwrap();
+        outbox.flush().unwrap();
+        assert_eq!(batches(&outbox), ["<o>", "<a>1</a><a>2</a>", "</o>"]);
+    }
+
+    #[test]
+    fn outbox_flushes_before_every_input_read() {
+        let outbox = Outbox::new(Batches::default());
+        outbox.push(b"first").unwrap();
+        outbox.push(b"held").unwrap();
+        let mut input = outbox.flush_before_read(b"xy".as_slice());
+        let mut buf = [0u8; 1];
+        assert_eq!(input.read(&mut buf).unwrap(), 1);
+        assert_eq!(batches(&outbox), ["first", "held"]);
+        // Nothing pending: the next read writes nothing.
+        assert_eq!(input.read(&mut buf).unwrap(), 1);
+        assert_eq!(batches(&outbox).len(), 2);
+    }
+
+    #[test]
+    fn outbox_writes_through_at_the_high_water_mark() {
+        let outbox = Outbox::new(Batches::default());
+        outbox.push(b"<o>").unwrap();
+        let piece = [b'x'; 1000];
+        let mut pushed = 0;
+        while batches(&outbox).len() < 2 {
+            outbox.push(&piece).unwrap();
+            pushed += piece.len();
+            assert!(pushed <= OUTBOX_HIGH_WATER + piece.len());
+        }
+        assert_eq!(batches(&outbox)[1].len(), pushed);
+        assert!(pushed >= OUTBOX_HIGH_WATER);
+    }
+
+    #[test]
+    fn outbox_behind_emit_writer_matches_materialized_output() {
+        let m = optimize(translate(&parse_query("<o>{$input/site/a}</o>").unwrap()).unwrap());
+        let doc = "<site><a>1</a><b>x</b><a>2</a><a>3</a></site>";
+        let outbox = Outbox::new(Batches::default());
+        let sink = EmitWriter::new(|p: &[u8]| outbox.push(p));
+        let reader = foxq_xml::XmlReader::new(std::io::BufReader::with_capacity(
+            4,
+            outbox.flush_before_read(doc.as_bytes()),
+        ));
+        let (sink, stats) = run_streaming_emit(&m, reader, sink, StreamLimits::default()).unwrap();
+        sink.finish().unwrap();
+        outbox.flush().unwrap();
+        let got = batches(&outbox);
+        let expected = crate::stream::run_streaming_to_string(&m, doc.as_bytes()).unwrap();
+        assert_eq!(got.concat(), expected.output);
+        assert!(got.len() >= 2, "{got:?}");
+        assert!((got.len() as u64) <= stats.emit_flushes, "{got:?}");
+    }
+
+    #[test]
+    fn outbox_reports_a_write_error_met_by_a_read_on_the_output_side() {
+        struct Refuses;
+        impl Write for Refuses {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                Err(io::Error::new(io::ErrorKind::BrokenPipe, "reader gone"))
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let outbox = Outbox::new(Refuses);
+        assert!(outbox.push(b"first").is_err());
+        outbox.push(b"held").unwrap();
+        let mut input = outbox.flush_before_read(b"xy".as_slice());
+        let mut buf = [0u8; 2];
+        assert_eq!(input.read(&mut buf).unwrap(), 2, "the input still reads");
+        let err = outbox.push(b"next").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
     }
 }

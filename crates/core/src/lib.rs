@@ -15,8 +15,9 @@
 //!   attribution and downsampled buffer timelines over the engine's
 //!   [`stream::StreamObserver`] hooks;
 //! * [`emit`] — earliest emission: the static which-states-can-emit-early
-//!   analysis plus the [`emit::EmitSink`] boundary that releases
-//!   irrevocable output prefixes downstream before end-of-input.
+//!   analysis, the [`emit::EmitSink`] boundary that releases irrevocable
+//!   output prefixes downstream before end-of-input, and the
+//!   [`emit::Outbox`] that coalesces them into few writes.
 
 pub mod emit;
 pub mod interp;
@@ -27,7 +28,7 @@ pub mod stream;
 pub mod text;
 pub mod translate;
 
-pub use emit::{EmissionAnalysis, EmitSink, EmitWriter};
+pub use emit::{EmissionAnalysis, EmitSink, EmitWriter, Outbox};
 pub use interp::{
     run_mft, run_mft_naive, run_mft_naive_with_limits, run_mft_with_limits, RunError, RunLimits,
 };

@@ -460,7 +460,9 @@ pub fn write_response(
 /// chunked`, and a `trailer:` declaration naming the fields that will
 /// follow the final chunk. No `content-length` — the body's extent is
 /// framed per chunk, which is what lets the server start answering
-/// before the engine has finished (earliest emission).
+/// before the engine has finished (earliest emission). The head is built
+/// in memory and written with one `write_all`: on a `TCP_NODELAY` socket
+/// every write is its own segment.
 pub fn write_chunked_head(
     w: &mut impl Write,
     status: u16,
@@ -469,31 +471,36 @@ pub fn write_chunked_head(
     trailer_names: &[&str],
     keep_alive: bool,
 ) -> std::io::Result<()> {
+    let mut head = Vec::with_capacity(256);
     write!(
-        w,
+        head,
         "HTTP/1.1 {status} {}\r\ncontent-type: {content_type}\r\ntransfer-encoding: chunked\r\nconnection: {}\r\n",
         reason(status),
         if keep_alive { "keep-alive" } else { "close" },
     )?;
     if !trailer_names.is_empty() {
-        write!(w, "trailer: {}\r\n", trailer_names.join(", "))?;
+        write!(head, "trailer: {}\r\n", trailer_names.join(", "))?;
     }
     for (name, value) in extra_headers {
-        write!(w, "{name}: {value}\r\n")?;
+        write!(head, "{name}: {value}\r\n")?;
     }
-    w.write_all(b"\r\n")?;
+    head.extend_from_slice(b"\r\n");
+    w.write_all(&head)?;
     w.flush()
 }
 
-/// Write one body chunk and flush it to the wire. Empty data is a no-op:
-/// a zero-size chunk would terminate the body.
+/// Write one body chunk — size line, data, CRLF — with one `write_all`,
+/// and flush it to the wire. Empty data is a no-op: a zero-size chunk
+/// would terminate the body.
 pub fn write_chunk(w: &mut impl Write, data: &[u8]) -> std::io::Result<()> {
     if data.is_empty() {
         return Ok(());
     }
-    write!(w, "{:x}\r\n", data.len())?;
-    w.write_all(data)?;
-    w.write_all(b"\r\n")?;
+    let mut frame = Vec::with_capacity(data.len() + 12);
+    write!(frame, "{:x}\r\n", data.len())?;
+    frame.extend_from_slice(data);
+    frame.extend_from_slice(b"\r\n");
+    w.write_all(&frame)?;
     w.flush()
 }
 

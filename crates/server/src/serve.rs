@@ -33,7 +33,7 @@ use crate::http::{
 };
 use crate::metrics::{add, sub, Endpoint, Metrics};
 use crate::reactor::{Poller, Waker, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-use foxq_core::emit::EmitWriter;
+use foxq_core::emit::{EmitWriter, Outbox};
 use foxq_core::profile::{StreamProfile, StreamProfiler};
 use foxq_core::stream::{StreamError, StreamLimits, StreamObserver, StreamStats};
 use foxq_core::Mft;
@@ -884,7 +884,9 @@ fn worker_loop(
 
 /// Counts request bytes into the shared metrics as they stream in. Wraps
 /// only the *socket* half of a worker's reader: bytes the reactor already
-/// buffered were counted when they were first read.
+/// buffered were counted when they were first read. That half is also the
+/// only one that can block, so it sits under the streamed response's
+/// [`Outbox::flush_before_read`] hook.
 struct CountingReader<R> {
     inner: R,
     metrics: Arc<Metrics>,
@@ -910,31 +912,30 @@ fn serve_one(conn: &mut Conn, shared: &Shared) -> (Vec<u8>, After) {
     let _ = conn.stream.set_read_timeout(Some(cfg.read_timeout));
     let _ = conn.stream.set_write_timeout(Some(cfg.write_timeout));
 
+    let req_id = shared.request_seq.fetch_add(1, Ordering::Relaxed) + 1;
+    let ctx = TraceContext::new(req_id);
+    // Streamed `/query` responses are written by the worker itself,
+    // straight to the (blocking, write-timeout-bounded) socket — a slow
+    // client backpressures only its own lane. Their bytes pass an outbox
+    // that the socket half of the body reader flushes before each read.
+    let stream_out = Outbox::new(StreamOut {
+        stream: &conn.stream,
+        metrics: &shared.metrics,
+        ctx: &ctx,
+        req_start: conn.req_start.unwrap_or_else(Instant::now),
+        req_id,
+        keep: false,
+        head_written: false,
+    });
     let buffered = std::mem::take(&mut conn.buf);
     let mut reader = BufReader::with_capacity(
         16 * 1024,
-        Cursor::new(buffered).chain(CountingReader {
+        Cursor::new(buffered).chain(stream_out.flush_before_read(CountingReader {
             inner: &conn.stream,
             metrics: shared.metrics.clone(),
-        }),
+        })),
     );
-    let req_id = shared.request_seq.fetch_add(1, Ordering::Relaxed) + 1;
-    let ctx = TraceContext::new(req_id);
-    let served = {
-        // Streamed `/query` responses are written by the worker itself,
-        // straight to the (blocking, write-timeout-bounded) socket — a
-        // slow client backpressures only its own lane.
-        let mut stream_out = StreamOut {
-            stream: &conn.stream,
-            metrics: &shared.metrics,
-            ctx: &ctx,
-            req_start: conn.req_start.unwrap_or_else(Instant::now),
-            req_id,
-            keep: false,
-            head_written: false,
-        };
-        serve_request(&mut reader, shared, &ctx, &mut stream_out)
-    };
+    let served = serve_request(&mut reader, shared, &ctx, &stream_out);
 
     // Bytes read past this request's framed end (a pipelined next request)
     // travel back to the reactor with the connection. Wire order: the
@@ -1040,7 +1041,7 @@ fn serve_request<R: BufRead>(
     reader: &mut R,
     shared: &Shared,
     ctx: &TraceContext,
-    stream_out: &mut StreamOut<'_>,
+    stream_out: &Outbox<StreamOut<'_>>,
 ) -> Option<(Reply, bool)> {
     let request = match read_request(reader) {
         Ok(Some(req)) => req,
@@ -1119,7 +1120,7 @@ fn route<R: BufRead>(
     conn: &mut R,
     shared: &Shared,
     ctx: &TraceContext,
-    stream_out: &mut StreamOut<'_>,
+    stream_out: &Outbox<StreamOut<'_>>,
 ) -> Reply {
     let endpoint = match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/healthz") => Endpoint::Healthz,
@@ -1284,7 +1285,7 @@ fn handle_query<R: BufRead>(
     conn: &mut R,
     shared: &Shared,
     ctx: &TraceContext,
-    stream_out: &mut StreamOut<'_>,
+    stream_out: &Outbox<StreamOut<'_>>,
 ) -> Reply {
     let mut params = request.params("q");
     let Some(q) = params.next() else {
@@ -1488,9 +1489,10 @@ impl Write for CountingWriter<'_> {
 }
 
 /// Worker-side writer for a streamed `/query` response: the chunked head
-/// goes out lazily on the first emission flush (so pre-output failures
-/// still get a proper status line), then every irrevocable output prefix
-/// is one HTTP chunk. Writes hit the blocking, write-timeout-bounded
+/// goes out lazily with the first output bytes (so pre-output failures
+/// still get a proper status line), then every write is one HTTP chunk.
+/// It sits behind an [`Outbox`], so a chunk carries every prefix released
+/// since the previous write. Writes hit the blocking, write-timeout-bounded
 /// socket directly — a slow client backpressures its own lane and nothing
 /// else.
 struct StreamOut<'a> {
@@ -1511,41 +1513,71 @@ struct StreamOut<'a> {
 }
 
 impl StreamOut<'_> {
-    /// Commit the response: status 200, chunked framing, declared
-    /// trailers. Records TTFB and the `first_flush` stage — this *is* the
-    /// first response byte.
-    fn write_head(&mut self) -> std::io::Result<()> {
-        let mut w = CountingWriter {
+    fn socket(&self) -> CountingWriter<'_> {
+        CountingWriter {
             inner: self.stream,
             metrics: self.metrics,
-        };
+        }
+    }
+
+    /// The response head: status 200, chunked framing, declared trailers.
+    fn head(&self, w: &mut impl Write) -> std::io::Result<()> {
         write_chunked_head(
-            &mut w,
+            w,
             200,
             "application/xml",
             &[("x-foxq-request-id", format!("{:016x}", self.req_id))],
             STREAM_TRAILERS,
             self.keep,
-        )?;
+        )
+    }
+
+    /// The head is on the wire: this *is* the first response byte, so
+    /// record TTFB and the `first_flush` stage.
+    fn committed(&mut self) {
         self.head_written = true;
         self.ctx
             .add_micros(Stage::FirstFlush, micros_since(self.req_start));
         self.metrics.ttfb.observe(self.req_start.elapsed());
-        Ok(())
     }
 
-    /// Deliver one irrevocable output prefix as an HTTP chunk (head
-    /// first, if this is the first flush).
-    fn deliver(&mut self, chunk: &[u8]) -> std::io::Result<()> {
-        if !self.head_written {
-            self.write_head()?;
-        }
-        let mut w = CountingWriter {
-            inner: self.stream,
-            metrics: self.metrics,
-        };
-        write_chunk(&mut w, chunk)
+    /// Commit a response with no body bytes (a query with empty output).
+    fn write_head(&mut self) -> std::io::Result<()> {
+        self.head(&mut self.socket())?;
+        self.committed();
+        Ok(())
     }
+}
+
+impl Write for StreamOut<'_> {
+    /// Send `buf` as one HTTP chunk in one socket write — together with
+    /// the head, if this is the first.
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        if self.head_written {
+            write_chunk(&mut self.socket(), buf)?;
+        } else {
+            let mut frame = Vec::with_capacity(256 + buf.len());
+            self.head(&mut frame)?;
+            write_chunk(&mut frame, buf)?;
+            self.socket().write_all(&frame)?;
+            self.committed();
+        }
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Rule (d) of [`Outbox`] before a failed streamed run is answered: write
+/// out whatever the run released, then report whether the head is on the
+/// wire (after which the failure can only truncate the body). A failed
+/// write needs no report: pending bytes imply the head went out with the
+/// first of them.
+fn flush_failed_stream(out: &Outbox<StreamOut<'_>>) -> bool {
+    let _ = out.flush();
+    out.writer().head_written
 }
 
 /// A failure after the chunked head is on the wire: the status cannot be
@@ -1593,9 +1625,11 @@ fn settle_emit_lane<F: FnMut(&[u8]) -> std::io::Result<()>>(
 }
 
 /// `POST /query?stream=1`: run the single lane through the earliest
-/// emission drivers, writing each irrevocable output prefix to the client
-/// as it becomes final — the first response byte leaves long before the
-/// document ends. Works for both the XML-body and the `doc=` tape paths.
+/// emission drivers, releasing each irrevocable output prefix into the
+/// outbox as it becomes final. The first goes out at once, the rest before
+/// the worker next reads from the socket (or every 64 KiB) — the first
+/// response byte leaves long before the document ends. Works for both the
+/// XML-body and the `doc=` tape paths.
 /// Run statistics travel as trailers (they do not exist until the run
 /// ends); `--profile` sampling applies only to buffered responses.
 fn handle_query_stream<R: BufRead>(
@@ -1605,9 +1639,9 @@ fn handle_query_stream<R: BufRead>(
     ctx: &TraceContext,
     prepared: &PreparedQuery,
     doc: Option<&str>,
-    out: &mut StreamOut<'_>,
+    out: &Outbox<StreamOut<'_>>,
 ) -> Reply {
-    out.keep = request.keep_alive() && !shared.shutdown.load(Ordering::SeqCst);
+    out.writer().keep = request.keep_alive() && !shared.shutdown.load(Ordering::SeqCst);
     let (run, body_exhausted) = match doc {
         None => {
             let kind = match request.body_kind() {
@@ -1625,7 +1659,7 @@ fn handle_query_stream<R: BufRead>(
             let run = run_multi_emit(
                 &[prepared.mft()],
                 reader,
-                vec![EmitWriter::new(|chunk: &[u8]| out.deliver(chunk))],
+                vec![EmitWriter::new(|prefix: &[u8]| out.push(prefix))],
                 shared.config.stream_limits,
                 prepared.solo_plan(),
             );
@@ -1636,7 +1670,7 @@ fn handle_query_stream<R: BufRead>(
                 Err(e) => {
                     // The input side killed the whole pass. Before the
                     // head: a normal error answer. After: truncate.
-                    if out.head_written {
+                    if flush_failed_stream(out) {
                         add(&shared.metrics.lane_failures_total, 1);
                         return streamed_failure_reply();
                     }
@@ -1674,7 +1708,7 @@ fn handle_query_stream<R: BufRead>(
             let run = run_multi_on_tape_emit(
                 &[prepared.mft()],
                 tape,
-                vec![EmitWriter::new(|chunk: &[u8]| out.deliver(chunk))],
+                vec![EmitWriter::new(|prefix: &[u8]| out.push(prefix))],
                 shared.config.stream_limits,
                 prepared.solo_plan(),
             );
@@ -1691,7 +1725,7 @@ fn handle_query_stream<R: BufRead>(
                 }
                 Err(e) => {
                     ctx.add_micros(Stage::TapeReplay, micros);
-                    if out.head_written {
+                    if flush_failed_stream(out) {
                         add(&shared.metrics.lane_failures_total, 1);
                         return streamed_failure_reply();
                     }
@@ -1705,7 +1739,7 @@ fn handle_query_stream<R: BufRead>(
         Ok(stats) => stats,
         Err(e) => {
             add(&shared.metrics.lane_failures_total, 1);
-            if out.head_written {
+            if flush_failed_stream(out) {
                 return streamed_failure_reply();
             }
             // The lane died before emitting anything: a normal error
@@ -1718,8 +1752,17 @@ fn handle_query_stream<R: BufRead>(
             };
         }
     };
-    // A query with no output still owes the client a head.
-    if !out.head_written && out.write_head().is_err() {
+    // Rule (d): the run ended. A query with no output still owes the
+    // client a head.
+    let committed = out.flush().and_then(|()| {
+        let mut w = out.writer();
+        if w.head_written {
+            Ok(())
+        } else {
+            w.write_head()
+        }
+    });
+    if committed.is_err() {
         return streamed_failure_reply();
     }
     add(&shared.metrics.streamed_responses_total, 1);

@@ -20,7 +20,7 @@ use foxq::core::stream::{
     StreamStats, DEFAULT_MAX_OUTPUT_EVENTS,
 };
 use foxq::core::translate::translate;
-use foxq::core::{print_mft, EmissionAnalysis, EmitWriter, Mft};
+use foxq::core::{print_mft, EmissionAnalysis, EmitWriter, Mft, Outbox};
 use foxq::obs::{Stage, StageTimes};
 use foxq::service::{
     run_multi_on_tape, run_multi_on_tape_emit, run_multi_on_tape_observed, run_multi_with_limits,
@@ -65,10 +65,11 @@ usage:
   foxq run [--stream] <query.xq> [input.xml|input.fet]
       stream input (default stdin) through the query; a .fet input replays
       the pre-parsed event tape (no XML tokenization) and seeks over
-      subtrees the query's label prefilter withholds. --stream flushes
-      stdout at every emission boundary: each irrevocable output prefix
-      appears as soon as the engine proves it final, not when the output
-      buffer fills or the input ends
+      subtrees the query's label prefilter withholds. --stream releases
+      output at every emission boundary: each prefix the engine proves
+      final reaches stdout before foxq next waits on its input (the first
+      at once, then at each input read, every 64 KiB, and at the end),
+      not when the input ends
   foxq stats [--timing] [--profile] <query.xq> [input.xml|input.fet]
       run and report engine statistics to stderr, including an earliest
       emission summary (early-emitting states, streamed output fraction,
@@ -231,22 +232,20 @@ fn cmd_run(args: &[String], report: bool) -> Result<(), String> {
             Box::new(stdin.lock())
         }
     };
-    let reader = XmlReader::new(BufReader::new(input));
     let stdout = std::io::stdout();
     if stream {
-        // Earliest emission to a pipe: every irrevocable prefix is
-        // flushed the moment the engine proves it final, so a consumer
-        // sees results while the document is still arriving.
-        let mut out = stdout.lock();
-        let sink = EmitWriter::new(|chunk: &[u8]| out.write_all(chunk).and_then(|_| out.flush()));
-        let (sink, _stats) =
-            run_streaming_emit(&mft, reader, sink, limits).map_err(|e| e.to_string())?;
-        sink.finish().map_err(|e| e.to_string())?;
-        return out
-            .write_all(b"\n")
-            .and_then(|_| out.flush())
-            .map_err(|e| e.to_string());
+        // Earliest emission to a pipe: every irrevocable prefix reaches
+        // stdout before the process next waits on its input, so a
+        // consumer sees results while the document is still arriving.
+        let outbox = Outbox::new(stdout.lock());
+        let reader = XmlReader::new(BufReader::new(outbox.flush_before_read(input)));
+        let sink = EmitWriter::new(|prefix: &[u8]| outbox.push(prefix));
+        let run = run_streaming_emit(&mft, reader, sink, limits)
+            .map_err(|e| e.to_string())
+            .and_then(|(sink, _stats)| sink.finish().map_err(|e| e.to_string()));
+        return finish_streamed(&outbox, run);
     }
+    let reader = XmlReader::new(BufReader::new(input));
     let sink = WriterSink::new(std::io::BufWriter::new(stdout.lock()));
     let t = Instant::now();
     let (sink, stats, profiled) = if profile {
@@ -279,26 +278,35 @@ fn cmd_run(args: &[String], report: bool) -> Result<(), String> {
 }
 
 /// `foxq run --stream` over a `.fet` tape: replay with per-event emission
-/// boundaries, flushing each irrevocable prefix to stdout.
+/// boundaries into an [`Outbox`] on stdout. A memory-mapped tape never
+/// blocks, so the input needs no read hook.
 fn run_streaming_on_tape(mft: &Mft, path: &str, limits: StreamLimits) -> Result<(), String> {
     let tape = TapeReader::open_file(std::path::Path::new(path))
         .map_err(|e| format!("cannot open tape {path}: {e}"))?;
     let plan = QuerySetPlan::new([mft]);
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    let sink = EmitWriter::new(|chunk: &[u8]| out.write_all(chunk).and_then(|_| out.flush()));
+    let outbox = Outbox::new(std::io::stdout().lock());
+    let sink = EmitWriter::new(|prefix: &[u8]| outbox.push(prefix));
     let run = run_multi_on_tape_emit(&[mft], tape, vec![sink], limits, &plan)
-        .map_err(|e| format!("{path}: {e}"))?;
-    let (sink, _stats) = run
-        .results
-        .into_iter()
-        .next()
-        .expect("one lane")
-        .map_err(|e| e.to_string())?;
-    sink.finish().map_err(|e| e.to_string())?;
-    out.write_all(b"\n")
-        .and_then(|_| out.flush())
-        .map_err(|e| e.to_string())
+        .map_err(|e| format!("{path}: {e}"))
+        .and_then(|run| {
+            let (sink, _stats) = run
+                .results
+                .into_iter()
+                .next()
+                .expect("one lane")
+                .map_err(|e| e.to_string())?;
+            sink.finish().map_err(|e| e.to_string())
+        });
+    finish_streamed(&outbox, run)
+}
+
+/// End a `--stream` run: the final newline on success, then write out
+/// everything pending — also when the run failed, so stdout keeps every
+/// byte released before the error.
+fn finish_streamed(outbox: &Outbox<impl Write>, run: Result<(), String>) -> Result<(), String> {
+    let run = run.and_then(|()| outbox.push(b"\n").map_err(|e| e.to_string()));
+    let flushed = outbox.flush().map_err(|e| e.to_string());
+    run.and(flushed)
 }
 
 /// One query over one tape file, with seek-based subtree skipping.

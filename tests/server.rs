@@ -52,6 +52,43 @@ fn metric(text: &str, name: &str) -> u64 {
         .unwrap_or_else(|| panic!("metric {name} not found in:\n{text}"))
 }
 
+/// Read a response head off a raw socket: the status line and header
+/// lines, up to the empty line.
+fn read_head(r: &mut impl std::io::BufRead) -> Vec<String> {
+    let mut lines = Vec::new();
+    loop {
+        let mut line = String::new();
+        r.read_line(&mut line).unwrap();
+        let line = line.trim_end().to_string();
+        if line.is_empty() {
+            return lines;
+        }
+        lines.push(line);
+    }
+}
+
+/// Read one chunk of a chunked body: `Ok(Some(data))`, `Ok(None)` at the
+/// zero-size last chunk, an error where the body is cut short.
+fn read_chunk(r: &mut impl std::io::BufRead) -> std::io::Result<Option<Vec<u8>>> {
+    use std::io::{Error, ErrorKind};
+    let mut line = String::new();
+    if r.read_line(&mut line)? == 0 {
+        return Err(Error::from(ErrorKind::UnexpectedEof));
+    }
+    let size = usize::from_str_radix(line.trim_end(), 16)
+        .map_err(|e| Error::new(ErrorKind::InvalidData, e))?;
+    if size == 0 {
+        return Ok(None);
+    }
+    let mut data = vec![0; size + 2];
+    r.read_exact(&mut data)?;
+    if &data[size..] != b"\r\n" {
+        return Err(Error::from(ErrorKind::InvalidData));
+    }
+    data.truncate(size);
+    Ok(Some(data))
+}
+
 #[test]
 fn health_metrics_and_unknown_routes() {
     let handle = start(test_config());
@@ -837,6 +874,94 @@ fn streamed_head_arrives_before_request_body_ends() {
     handle.shutdown();
 }
 
+/// No determined byte waits while the worker waits for the request body:
+/// with half of an output-heavy document uploaded and the connection held
+/// open, *all* output that half determines arrives — not only the first
+/// chunk. Prefixes are coalesced, so the reply takes fewer chunks than the
+/// engine had emission boundaries, and its bytes equal the buffered reply.
+#[test]
+fn streamed_output_of_the_uploaded_half_arrives_before_the_rest() {
+    use std::io::{BufReader, Write};
+    use std::net::TcpStream;
+    let handle = start(test_config());
+    let addr = handle.local_addr();
+    let query = "<o>{$input/site/people/person/name}</o>";
+    let people = |r: std::ops::Range<u32>| -> String {
+        r.map(|i| format!("<person><name>p{i}</name></person>"))
+            .collect()
+    };
+    let half = format!("<site><people>{}", people(0..400));
+    let rest = format!("{}</people></site>", people(400..800));
+    let body = format!("{half}{rest}");
+    let buffered = Client::connect(addr)
+        .unwrap()
+        .request("POST", &client::query_target(query), &[], body.as_bytes())
+        .unwrap();
+    assert_eq!(buffered.status, 200);
+    let last = b"<name>p399</name>";
+    let determined = buffered
+        .body
+        .windows(last.len())
+        .position(|w| w == last)
+        .unwrap()
+        + last.len();
+
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream.set_nodelay(true).ok();
+    let target = format!("{}&stream=1", client::query_target(query));
+    write!(
+        stream,
+        "POST {target} HTTP/1.1\r\nhost: foxq\r\nconnection: close\r\ncontent-length: {}\r\n\r\n{half}",
+        body.len()
+    )
+    .unwrap();
+    stream.flush().unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let head = read_head(&mut reader);
+    assert!(head[0].starts_with("HTTP/1.1 200"), "{head:?}");
+    let mut got = Vec::new();
+    let mut chunks = 0u64;
+    while got.len() < determined {
+        let chunk = read_chunk(&mut reader)
+            .unwrap_or_else(|e| {
+                panic!(
+                    "{e}: only {} of {determined} determined bytes arrived while the body was held",
+                    got.len()
+                )
+            })
+            .expect("body ended early");
+        got.extend(chunk);
+        chunks += 1;
+    }
+    assert!(chunks >= 2, "the half's output came in the first chunk");
+    assert!(buffered.body.starts_with(&got), "streamed bytes diverge");
+
+    stream.write_all(rest.as_bytes()).unwrap();
+    stream.flush().unwrap();
+    while let Some(chunk) = read_chunk(&mut reader).unwrap() {
+        got.extend(chunk);
+        chunks += 1;
+    }
+    assert_eq!(got, buffered.body, "streamed bytes diverge");
+    let trailers = read_head(&mut reader);
+    let flushes: u64 = trailers
+        .iter()
+        .find_map(|l| l.strip_prefix("x-foxq-emit-flushes: "))
+        .expect("emit-flushes trailer")
+        .parse()
+        .unwrap();
+    // One chunk per emission boundary would come close to `flushes`; the
+    // outbox writes a few per socket read.
+    assert!(
+        chunks < flushes && chunks * 10 < flushes,
+        "{chunks} chunks for {flushes} emitting flushes: prefixes were not coalesced"
+    );
+    handle.shutdown();
+}
+
 /// Streaming over a stored corpus tape: same bytes as the buffered doc
 /// query, with the tape skip counters appearing as trailers.
 #[test]
@@ -889,8 +1014,9 @@ fn streamed_doc_query_serves_from_corpus_tape() {
 }
 
 /// A run that fails after the head is on the wire cannot be un-sent: the
-/// server truncates the chunked body (no terminating zero chunk) and closes,
-/// which a conforming client must treat as an incomplete response.
+/// server writes out every byte the run released, then truncates the
+/// chunked body (no terminating zero chunk) and closes, which a conforming
+/// client must treat as an incomplete response.
 #[test]
 fn streamed_mid_run_failure_truncates_the_chunked_body() {
     let handle = start(test_config());
@@ -910,6 +1036,34 @@ fn streamed_mid_run_failure_truncates_the_chunked_body() {
         ),
         "unexpected error: {err}"
     );
+
+    // On a raw socket: the bytes released before the failure all arrive,
+    // and then the body stops short of its last chunk.
+    use std::io::{BufReader, Write};
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    write!(
+        stream,
+        "POST {target} HTTP/1.1\r\nhost: foxq\r\ncontent-length: {}\r\n\r\n",
+        body.len()
+    )
+    .unwrap();
+    stream.write_all(&body).unwrap();
+    let mut reader = BufReader::new(stream);
+    let head = read_head(&mut reader);
+    assert!(head[0].starts_with("HTTP/1.1 200"), "{head:?}");
+    let mut got = Vec::new();
+    let end = loop {
+        match read_chunk(&mut reader) {
+            Ok(Some(chunk)) => got.extend(chunk),
+            other => break other,
+        }
+    };
+    assert!(end.is_err(), "truncated body decoded as complete");
+    assert_eq!(String::from_utf8_lossy(&got), "<o>Jim");
+
     let text = client::get(addr, "/metrics").unwrap().text();
     assert!(metric(&text, "foxq_lane_failures_total") >= 1);
     handle.shutdown();

@@ -74,6 +74,95 @@ fn cli_run_reads_stdin_by_default() {
     assert_eq!(stdout_of(&out), "<out>JimLi</out>\n");
 }
 
+/// `foxq run --stream` holds no determined byte while it waits on its
+/// input: with half the document written and stdin still open, the names
+/// of every person closed in that half are already on stdout. The whole
+/// output is byte-identical to `foxq run`, for XML and for a `.fet` tape.
+#[test]
+fn cli_run_stream_releases_output_before_blocking_on_input() {
+    use std::io::{Read as _, Write as _};
+    use std::sync::mpsc;
+    use std::time::Duration;
+    let dir = scratch("stream");
+    let q = write(&dir, "q.xq", "<o>{$input/site/people/person/name}</o>");
+    let people = |r: std::ops::Range<u32>| -> String {
+        r.map(|i| format!("<person><name>p{i}</name></person>"))
+            .collect()
+    };
+    let half = format!("<site><people>{}", people(0..300));
+    let rest = format!("{}</people></site>", people(300..600));
+    let x = write(&dir, "in.xml", &format!("{half}{rest}"));
+    let buffered = foxq().arg("run").arg(&q).arg(&x).output().unwrap();
+    assert!(buffered.status.success());
+    let last = b"<name>p299</name>";
+    let determined = buffered
+        .stdout
+        .windows(last.len())
+        .position(|w| w == last)
+        .unwrap()
+        + last.len();
+
+    let mut child = foxq()
+        .args(["run", "--stream"])
+        .arg(&q)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut stdin = child.stdin.take().unwrap();
+    let mut stdout = child.stdout.take().unwrap();
+    let (tx, rx) = mpsc::channel();
+    let pump = std::thread::spawn(move || {
+        let mut buf = [0u8; 4096];
+        while let Ok(n @ 1..) = stdout.read(&mut buf) {
+            if tx.send(buf[..n].to_vec()).is_err() {
+                break;
+            }
+        }
+    });
+    stdin.write_all(half.as_bytes()).unwrap();
+    stdin.flush().unwrap();
+    let mut got = Vec::new();
+    while got.len() < determined {
+        match rx.recv_timeout(Duration::from_secs(10)) {
+            Ok(bytes) => got.extend(bytes),
+            Err(_) => {
+                let _ = child.kill();
+                panic!(
+                    "only {} of {determined} determined bytes arrived while stdin was open",
+                    got.len()
+                );
+            }
+        }
+    }
+    assert!(buffered.stdout.starts_with(&got), "streamed bytes diverge");
+    stdin.write_all(rest.as_bytes()).unwrap();
+    drop(stdin);
+    got.extend(rx.iter().flatten());
+    pump.join().unwrap();
+    assert!(child.wait().unwrap().success());
+    assert_eq!(
+        got, buffered.stdout,
+        "--stream output differs from foxq run"
+    );
+
+    // The same bytes from the document's tape, streamed and buffered.
+    let corpus = dir.join("corpus");
+    let out = foxq()
+        .args(["store", "add", "--dir"])
+        .arg(&corpus)
+        .arg(&x)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let tape = corpus.join("in.fet");
+    for args in [&["run", "--stream"][..], &["run"][..]] {
+        let out = foxq().args(args).arg(&q).arg(&tape).output().unwrap();
+        assert!(out.status.success(), "{args:?}");
+        assert_eq!(out.stdout, buffered.stdout, "{args:?} on the tape");
+    }
+}
+
 #[test]
 fn cli_compile_prints_rules_and_opt_report() {
     let dir = scratch("compile");
